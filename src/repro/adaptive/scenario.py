@@ -220,22 +220,14 @@ def faulted_latencies(
     ``wall_time`` maps to plan round ``floor(wall_time / tick) + 1``, the
     same anchoring :func:`repro.faults.event.install_plan` uses.
     """
-    n = base.shape[0]
-    round_number = int(wall_time / tick) + 1
-    latencies = base.copy()
-    factors = np.array(
-        [plan.slow_factor(pid, round_number) for pid in range(n)]
-    )
+    view = plan.compiled
+    epoch = view.epoch_of(int(wall_time / tick) + 1)
+    factors = view.slow[epoch]
     if (factors > 1.0).any():
-        latencies = latencies * np.maximum.outer(factors, factors)
-    for pid in range(n):
-        if plan.down_at(pid, round_number):
-            latencies[pid, :] = np.inf
-            latencies[:, pid] = np.inf
-    for src in range(n):
-        for dst in range(n):
-            if src != dst and plan.partitioned(src, dst, round_number):
-                latencies[dst, src] = np.inf
+        latencies = base * np.maximum.outer(factors, factors)
+    else:
+        latencies = base.copy()
+    latencies[view.blocked[epoch]] = np.inf
     np.fill_diagonal(latencies, 0.0)
     return latencies
 

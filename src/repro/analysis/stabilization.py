@@ -82,7 +82,7 @@ def simulate_adversary_decision_rounds(
     plan = adversary.to_plan()
     n = adversary.n
     quiet = plan.quiet_after()
-    masks = np.array([plan.mask(k) for k in range(1, quiet + 1)], dtype=bool)
+    masks = plan.compiled.mask_stack(quiet)
     results = np.empty(runs, dtype=float)
     for index in range(runs):
         rng = np.random.default_rng(

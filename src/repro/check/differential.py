@@ -334,18 +334,26 @@ def differential_run(
         )
 
     # Measured decision rounds for the headline model (◊WLM, window 4).
-    window = equations.DECISION_ROUNDS["WLM"]
-    lock_stats = decision_stats_from_vector(
-        satisfaction_vector(lock_m, "WLM", leader=leader),
-        window=window,
-        round_length=timeout,
-        start_points=start_points,
+    # The comparison is paired: both stacks measure from the same start
+    # rounds, drawn from one generator keyed by the scenario.  Unpaired
+    # starts could put one stack's samples in the adversary's pre-GSR
+    # rounds and the other's after them, so the row would measure
+    # sampling, not protocol.
+    if fault_name is None:
+        fault_name = "canonical" if plan is not None else "none"
+    decision_seed = derive_seed(
+        seed, f"check:{profile_name}:{fault_name}:decision"
     )
-    event_stats = decision_stats_from_vector(
-        satisfaction_vector(event_m, "WLM", leader=leader),
-        window=window,
-        round_length=timeout,
-        start_points=start_points,
+    window = equations.DECISION_ROUNDS["WLM"]
+    lock_stats, event_stats = (
+        decision_stats_from_vector(
+            satisfaction_vector(matrices, "WLM", leader=leader),
+            window=window,
+            round_length=timeout,
+            start_points=start_points,
+            rng=np.random.default_rng(decision_seed),
+        )
+        for matrices in (lock_m, event_m)
     )
     lock_mean = lock_stats.mean_rounds
     d_tolerance = 6.0 if math.isnan(lock_mean) else max(6.0, 0.8 * lock_mean)
@@ -374,8 +382,6 @@ def differential_run(
         metrics=metrics,
     )
 
-    if fault_name is None:
-        fault_name = "canonical" if plan is not None else "none"
     return DifferentialResult(
         profile=profile_name,
         fault=fault_name,

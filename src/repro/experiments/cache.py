@@ -85,11 +85,15 @@ class TraceCache:
         return self.root / profile / f"{key}.npy"
 
     def load(self, profile: str, key: str) -> Optional[np.ndarray]:
-        """The cached trace, or ``None`` on a miss (never raises)."""
+        """The cached trace, or ``None`` on a miss (never raises).
+
+        A missing, truncated or zero-byte file is a miss: ``np.load``
+        raises ``EOFError`` on an empty file, which must not abort the
+        sweep any more than a corrupt header does."""
         path = self.path(profile, key)
         try:
             trace = np.load(path)
-        except (OSError, ValueError):
+        except (OSError, ValueError, EOFError):
             self.misses += 1
             return None
         self.hits += 1

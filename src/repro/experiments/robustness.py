@@ -155,19 +155,17 @@ def _satisfaction(
         return resolved.satisfied_batch(
             np.asarray(matrices), leader=leader, correct=correct
         )
-    return np.array(
-        [
-            resolved.satisfied(
-                matrix,
-                leader=(
-                    plan.churn_leader(k) if plan.churning_at(k) else leader
-                ),
-                correct=correct,
-            )
-            for k, matrix in enumerate(np.asarray(matrices), start=1)
-        ],
-        dtype=bool,
-    )
+    # Judge each round against its acting leader: one batch pass per
+    # distinct leader instead of one scalar predicate call per round.
+    matrices = np.asarray(matrices)
+    acting = plan.compiled.acting_leaders(len(matrices), leader)
+    satisfied = np.empty(len(matrices), dtype=bool)
+    for value in np.unique(acting):
+        rounds = acting == value
+        satisfied[rounds] = resolved.satisfied_batch(
+            matrices[rounds], leader=int(value), correct=correct
+        )
+    return satisfied
 
 
 def _mean_decision_rounds(

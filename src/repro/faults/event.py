@@ -24,6 +24,7 @@ matching transport.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from repro.faults.plan import FaultPlan
@@ -86,22 +87,24 @@ class PlanLinkFaults:
     def drop(self, src: int, dst: int, now: float) -> bool:
         round_number = self.round_of(now)
         plan = self.plan
+        view = plan.compiled
+        epoch = bisect_right(view.starts, round_number) - 1
         self.last_drop_cause = None
-        if plan.down_at(src, round_number) or plan.down_at(dst, round_number):
+        down = view.down_sets[epoch]
+        if src in down or dst in down:
             self.last_drop_cause = "crash"
             for index, crash in enumerate(plan.crashes):
                 if crash.pid in (src, dst) and crash.down_at(round_number):
                     self._activate("crash-link", index)
             return True
-        if plan.partitioned(src, dst, round_number):
+        if view.cut_lists[epoch][dst][src]:
             self.last_drop_cause = "partition"
             for index, partition in enumerate(plan.partitions):
                 if partition.active_at(round_number):
                     self._activate("partition", index)
             return True
-        for index, burst in enumerate(plan.loss_bursts):
-            if not burst.active_at(round_number):
-                continue
+        for index in view.bursts[epoch]:
+            burst = plan.loss_bursts[index]
             count = self._burst_counters.get((src, dst), 0)
             self._burst_counters[(src, dst)] = count + 1
             draw = _uniform(
@@ -114,10 +117,10 @@ class PlanLinkFaults:
         return False
 
     def latency_factor(self, src: int, dst: int, now: float) -> float:
-        round_number = self.round_of(now)
-        return self.plan.slow_factor(src, round_number) * self.plan.slow_factor(
-            dst, round_number
-        )
+        view = self.plan.compiled
+        epoch = bisect_right(view.starts, self.round_of(now)) - 1
+        slow = view.slow_lists[epoch]
+        return slow[src] * slow[dst]
 
 
 def install_plan(

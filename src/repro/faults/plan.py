@@ -34,7 +34,9 @@ the node's timers are actually paused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -254,25 +256,58 @@ class FaultPlan:
     def churn_leader(self, round_number: int) -> int:
         """The pseudo-random leader a churn round elects (same for all
         processes — churn changes *who* leads, not agreement on it)."""
-        return int(self.rng("churn", round_number).integers(self.n))
+        return self.compiled.churn_leader(round_number)
 
     def mask(self, round_number: int) -> np.ndarray:
         """Boolean ``[dst, src]`` matrix of messages this round's faults
         force to miss (lockstep view; the diagonal is never masked).
 
         Deterministic per round: the randomness for bursts and slow nodes
-        is drawn from ``rng("mask", round)`` in a fixed order.
+        is drawn from ``rng("mask", round)`` in a fixed order (see
+        :meth:`_drawn_mask`).  Memoized by :attr:`compiled`; the returned
+        array is read-only.
         """
+        return self.compiled.mask(round_number)
+
+    def apply_to_matrices(self, matrices: np.ndarray) -> np.ndarray:
+        """Faulted copy of a ``[round, dst, src]`` delivery-matrix stack
+        (round ``k`` is ``matrices[k-1]``) — the batch form the
+        measurement figures use."""
+        matrices = np.asarray(matrices)
+        faulted = matrices & ~self.compiled.mask_stack(matrices.shape[0])
+        diag = np.arange(self.n)
+        faulted[:, diag, diag] = matrices[:, diag, diag]
+        return faulted
+
+    # ------------------------------------------------------------------
+    # The scalar definitions the compiled view is built from.
+    # ------------------------------------------------------------------
+    def _drawn_churn_leader(self, round_number: int) -> int:
+        return int(self.rng("churn", round_number).integers(self.n))
+
+    def _drawn_mask(
+        self,
+        round_number: int,
+        bursts: tuple[LossBurst, ...],
+        slow_nodes: tuple[SlowNode, ...],
+    ) -> np.ndarray:
+        """The random part of a round's mask: the round's active
+        ``bursts`` and ``slow_nodes``, drawn from ``rng("mask", round)``
+        in plan order (diagonal not yet cleared)."""
         masked = np.zeros((self.n, self.n), dtype=bool)
         rng = self.rng("mask", round_number)
-        for burst in self.loss_bursts:
-            if burst.active_at(round_number):
-                masked |= rng.random((self.n, self.n)) < burst.drop_prob
-        for slow in self.slow_nodes:
-            if slow.active_at(round_number):
-                rows = rng.random((2, self.n)) < slow.drop_prob
-                masked[slow.pid, :] |= rows[0]
-                masked[:, slow.pid] |= rows[1]
+        for burst in bursts:
+            masked |= rng.random((self.n, self.n)) < burst.drop_prob
+        for slow in slow_nodes:
+            rows = rng.random((2, self.n)) < slow.drop_prob
+            masked[slow.pid, :] |= rows[0]
+            masked[:, slow.pid] |= rows[1]
+        return masked
+
+    def _fixed_mask(self, round_number: int) -> np.ndarray:
+        """The deterministic part of a round's mask: partitions and
+        dead or frozen processes, diagonal cleared."""
+        masked = np.zeros((self.n, self.n), dtype=bool)
         for partition in self.partitions:
             if partition.active_at(round_number):
                 for group in partition.groups:
@@ -289,17 +324,21 @@ class FaultPlan:
         np.fill_diagonal(masked, False)
         return masked
 
-    def apply_to_matrices(self, matrices: np.ndarray) -> np.ndarray:
-        """Faulted copy of a ``[round, dst, src]`` delivery-matrix stack
-        (round ``k`` is ``matrices[k-1]``) — the batch form the
-        measurement figures use."""
-        matrices = np.asarray(matrices)
-        faulted = matrices.copy()
-        for index in range(faulted.shape[0]):
-            faulted[index] &= ~self.mask(index + 1)
-        diag = np.arange(self.n)
-        faulted[:, diag, diag] = matrices[:, diag, diag]
-        return faulted
+    # ------------------------------------------------------------------
+    # The compiled view.
+    # ------------------------------------------------------------------
+    @cached_property
+    def compiled(self) -> CompiledPlan:
+        """This plan's epoch-indexed view, built on first use and kept
+        for the plan's lifetime (see :class:`CompiledPlan`)."""
+        return CompiledPlan(self)
+
+    def __getstate__(self) -> dict:
+        # The compiled view is a memo, not part of the plan: pickles (and
+        # so ``--jobs`` workers) carry the fields only, exactly as before.
+        state = dict(self.__dict__)
+        state.pop("compiled", None)
+        return state
 
     def to_crash_plan(self) -> CrashPlan:
         """The permanent crashes, as the lockstep runner's :class:`CrashPlan`
@@ -339,3 +378,190 @@ class FaultPlan:
         for churn in self.leader_churn:
             last = max(last, churn.end_round)
         return last
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class CompiledPlan:
+    """A :class:`FaultPlan` cut into epochs: the one fault interpreter
+    every stack indexes into.
+
+    Each per-round predicate of a plan — ``down_at``, ``partitioned``,
+    ``slow_factor``, which bursts and slow-node windows are active — is a
+    step function of the round that changes only at window edges: a
+    crash, a recovery, a partition's start or heal, the first round of a
+    burst or slow-node window and the round after its last.  Cutting the
+    round axis at those edges and evaluating the plan's own scalar
+    methods once per epoch answers every query exactly, with a handful
+    of calls instead of one per message, link or round.
+
+    Epoch ``e`` covers rounds ``[starts[e], starts[e + 1])``.  Epoch 0
+    holds the rounds before 1, where nothing is active; the last epoch
+    never ends.  Per epoch the view holds
+
+    - ``down[e]``: ``[n]`` bool, the dead or frozen processes;
+    - ``cut[e]``: ``[dst, src]`` bool, ``partitioned(src, dst)``;
+    - ``blocked[e]``: ``[dst, src]`` bool, links cut or touching a down
+      process;
+    - ``slow[e]``: ``[n]`` latency factors;
+    - ``bursts[e]``: indices of the active loss bursts;
+
+    plus plain Python copies (``down_sets``, ``cut_lists``,
+    ``slow_lists``) for per-message lookups, where numpy scalar indexing
+    would cost more than the lookup itself.
+
+    Masks and churn leaders are memoized.  A round in an epoch without
+    an active burst or slow-node window shares the epoch's fixed mask;
+    only rounds with a random part draw ``rng("mask", round)``, once
+    each, and are kept.  Those rounds all lie inside burst and slow-node
+    windows, hence before the last edge (``quiet_after() + 1``, or a
+    later permanent crash), and churn leaders are kept only inside churn
+    windows, so the memo is bounded by the plan, never by the length of
+    the runs that consume it.
+    """
+
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        edges = {1}
+        for crash in plan.crashes:
+            edges.add(crash.at_round)
+            if crash.recover_round is not None:
+                edges.add(crash.recover_round)
+        for partition in plan.partitions:
+            edges.update((partition.start_round, partition.heal_round))
+        for burst in plan.loss_bursts:
+            edges.update((burst.start_round, burst.end_round + 1))
+        for slow in plan.slow_nodes:
+            edges.update((slow.start_round, slow.end_round + 1))
+        self.starts: list[int] = [0] + sorted(edges)
+        self._starts = np.asarray(self.starts, dtype=np.int64)
+
+        pids = range(plan.n)
+        starts = self.starts
+        self.down = _read_only(
+            np.array(
+                [[plan.down_at(pid, q) for pid in pids] for q in starts],
+                dtype=bool,
+            )
+        )
+        self.cut = _read_only(
+            np.array(
+                [
+                    [
+                        [
+                            src != dst and plan.partitioned(src, dst, q)
+                            for src in pids
+                        ]
+                        for dst in pids
+                    ]
+                    for q in starts
+                ],
+                dtype=bool,
+            )
+        )
+        self.blocked = _read_only(
+            self.cut | self.down[:, :, None] | self.down[:, None, :]
+        )
+        self.slow = _read_only(
+            np.array(
+                [[plan.slow_factor(pid, q) for pid in pids] for q in starts],
+                dtype=float,
+            )
+        )
+        self.bursts: list[tuple[int, ...]] = [
+            tuple(
+                index
+                for index, burst in enumerate(plan.loss_bursts)
+                if burst.active_at(q)
+            )
+            for q in starts
+        ]
+        self.burst_any = _read_only(np.array([bool(b) for b in self.bursts]))
+        self._slowing = [
+            tuple(slow for slow in plan.slow_nodes if slow.active_at(q))
+            for q in starts
+        ]
+        self._fixed = _read_only(
+            np.array([plan._fixed_mask(q) for q in starts], dtype=bool)
+        )
+
+        self.down_sets = [
+            frozenset(np.flatnonzero(row).tolist()) for row in self.down
+        ]
+        self.cut_lists: list[list[list[bool]]] = self.cut.tolist()
+        self.slow_lists: list[list[float]] = self.slow.tolist()
+
+        self._masks: dict[int, np.ndarray] = {}
+        self._leaders: dict[int, int] = {}
+        self._churn_horizon = max(
+            (churn.end_round for churn in plan.leader_churn), default=0
+        )
+
+    # ------------------------------------------------------------------
+    # Epoch lookup.
+    # ------------------------------------------------------------------
+    def epoch_of(self, round_number: int) -> int:
+        return max(bisect_right(self.starts, round_number) - 1, 0)
+
+    def epochs_of(self, rounds: np.ndarray) -> np.ndarray:
+        """:meth:`epoch_of` over an array of rounds."""
+        return np.maximum(
+            np.searchsorted(self._starts, rounds, side="right") - 1, 0
+        )
+
+    # ------------------------------------------------------------------
+    # Masks.
+    # ------------------------------------------------------------------
+    def mask(self, round_number: int) -> np.ndarray:
+        """:meth:`FaultPlan.mask`, memoized and read-only."""
+        epoch = self.epoch_of(round_number)
+        bursts = self.bursts[epoch]
+        slowing = self._slowing[epoch]
+        if not bursts and not slowing:
+            return self._fixed[epoch]
+        masked = self._masks.get(round_number)
+        if masked is None:
+            loss_bursts = self.plan.loss_bursts
+            masked = self.plan._drawn_mask(
+                round_number, tuple(loss_bursts[i] for i in bursts), slowing
+            )
+            masked |= self._fixed[epoch]
+            np.fill_diagonal(masked, False)
+            self._masks[round_number] = _read_only(masked)
+        return masked
+
+    def mask_stack(self, rounds: int) -> np.ndarray:
+        """Read-only ``[round, dst, src]`` stack of the masks of rounds
+        ``1..rounds``: each epoch's fixed mask, overwritten by the
+        memoized masks of the rounds that have a random part."""
+        stack = self._fixed[self.epochs_of(np.arange(1, rounds + 1))]
+        edges = zip(self.starts, self.starts[1:])
+        for epoch, (start, end) in enumerate(edges):
+            if self.bursts[epoch] or self._slowing[epoch]:
+                for k in range(start, min(end, rounds + 1)):
+                    stack[k - 1] = self.mask(k)
+        return _read_only(stack)
+
+    # ------------------------------------------------------------------
+    # Leader churn.
+    # ------------------------------------------------------------------
+    def churn_leader(self, round_number: int) -> int:
+        """:meth:`FaultPlan.churn_leader`, memoized inside churn windows."""
+        leader = self._leaders.get(round_number)
+        if leader is None:
+            leader = self.plan._drawn_churn_leader(round_number)
+            if round_number <= self._churn_horizon:
+                self._leaders[round_number] = leader
+        return leader
+
+    def acting_leaders(self, rounds: int, leader: int) -> np.ndarray:
+        """The acting leader of rounds ``1..rounds``: the churn leader in
+        churn rounds, ``leader`` otherwise."""
+        acting = np.full(rounds, leader, dtype=np.int64)
+        for k in range(1, min(rounds, self._churn_horizon) + 1):
+            if self.plan.churning_at(k):
+                acting[k - 1] = self.churn_leader(k)
+        return acting

@@ -19,10 +19,11 @@ This module computes the same run in a handful of NumPy passes:
    transport's stream path makes, so the two paths consume bit-identical
    random values;
 3. a :class:`~repro.faults.plan.FaultPlan`'s link-level faults are applied
-   as whole-array passes per *epoch* — the maximal grid segments over
-   which the plan's per-round state (who is down, which links are
-   partitioned, which nodes are slowed, whether any burst is live) is
-   constant — consuming the identical decisions the scalar
+   as whole-array passes per *epoch* of its compiled view
+   (:class:`~repro.faults.plan.CompiledPlan`) — the maximal round
+   segments over which the plan's per-round state (who is down, which
+   links are partitioned, which nodes are slowed, whether any burst is
+   live) is constant — consuming the identical decisions the scalar
    :class:`~repro.faults.event.PlanLinkFaults` policy makes;
 4. timeliness, late arrivals, and loss counts are evaluated as whole
    ``(rounds, n, n)`` arrays, applying the event queue's tie rules
@@ -324,53 +325,6 @@ def _presample_links(run: SyncRun, per_src_rounds: np.ndarray) -> np.ndarray:
     return block
 
 
-def _plan_round_state(
-    plan, pr: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-grid-round fault state, computed once per *epoch*.
-
-    The plan's per-round predicates (``down_at``, ``partitioned``,
-    ``slow_factor``, burst activity) are step functions of the plan
-    round, changing only at window boundaries.  Segmenting the grid at
-    those boundaries and evaluating the plan's own methods once per
-    epoch gives exactness for free: a handful of Python calls instead of
-    one per message.
-
-    Returns ``(down, cross, slow, burst_any)`` with shapes
-    ``(R, n)``, ``(R, n, n)`` (``[dst, src]``), ``(R, n)``, ``(R,)``.
-    """
-    bounds: set[int] = set()
-    for crash in plan.crashes:
-        bounds.add(crash.at_round)
-    for partition in plan.partitions:
-        bounds.add(partition.start_round)
-        bounds.add(partition.heal_round)
-    for burst in plan.loss_bursts:
-        bounds.add(burst.start_round)
-        bounds.add(burst.end_round + 1)
-    for slow in plan.slow_nodes:
-        bounds.add(slow.start_round)
-        bounds.add(slow.end_round + 1)
-    edges = np.asarray(sorted(bounds), dtype=np.int64)
-    eid = np.searchsorted(edges, pr, side="right")
-    _, first, inverse = np.unique(eid, return_index=True, return_inverse=True)
-    epochs = first.size
-    down_e = np.zeros((epochs, n), dtype=bool)
-    cross_e = np.zeros((epochs, n, n), dtype=bool)
-    slow_e = np.ones((epochs, n))
-    burst_e = np.zeros(epochs, dtype=bool)
-    for i, idx in enumerate(first):
-        q = int(pr[idx])
-        down_e[i] = [plan.down_at(pid, q) for pid in range(n)]
-        slow_e[i] = [plan.slow_factor(pid, q) for pid in range(n)]
-        for src in range(n):
-            for dst in range(n):
-                if src != dst and plan.partitioned(src, dst, q):
-                    cross_e[i, dst, src] = True
-        burst_e[i] = any(b.active_at(q) for b in plan.loss_bursts)
-    return down_e[inverse], cross_e[inverse], slow_e[inverse], burst_e[inverse]
-
-
 def _bulk_drop(transport: Transport, cause: str, count: int) -> None:
     """Mirror ``count`` scalar ``_count_drop`` calls, creating the
     per-cause counter lazily exactly as the scalar path does (a
@@ -463,7 +417,13 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
         pr = np.maximum(
             1, (starts // run._plan_timeout).astype(np.int64) + 1
         )
-        down, cross, slow, burst_any = _plan_round_state(plan, pr, n)
+        # Fault state per grid round, read off the plan's epochs.
+        view = plan.compiled
+        epoch = view.epochs_of(pr)
+        down = view.down[epoch]
+        cross = view.cut[epoch]
+        slow = view.slow[epoch]
+        burst_any = view.burst_any[epoch]
         crash_drop = sent & (down[:, :, None] | down[:, None, :])
         part_drop = sent & ~crash_drop & cross
         burst_drop = np.zeros_like(sent)

@@ -18,7 +18,12 @@ from repro.check import (
     differential_run,
     montecarlo_vs_equations,
 )
-from repro.check.differential import canonical_diff_plan, uniform_wan_profile
+from repro.check.differential import (
+    _scenarios,
+    canonical_adversary_plan,
+    canonical_diff_plan,
+    uniform_wan_profile,
+)
 from repro.core import WlmConsensus
 from repro.giraf.oracle import FixedLeaderOracle
 from repro.net import measure_latency_table
@@ -95,6 +100,43 @@ class TestDifferentialRun:
             measured_p(faulted_result).lockstep
             < measured_p(clean_result).lockstep
         )
+
+
+class TestPairedDecisionRounds:
+    """``D_WLM rounds`` compares both stacks from the same start rounds.
+
+    With start points drawn from each stack's own satisfaction vector,
+    the adversary scenario compared unpaired samples: one stack's starts
+    landed in the pre-GSR rounds, the other's after them, and the row
+    failed on these (seed, profile) pairs with the tolerance unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, profile",
+        [
+            (1, "planetlab-wan"),
+            (1, "lan"),
+            (4, "granular-wan"),
+            (7, "planetlab-wan"),
+        ],
+    )
+    def test_adversary_decision_rounds_agree(self, seed, profile):
+        factory, timeout = next(
+            (factory, timeout)
+            for name, factory, timeout in _scenarios(8)
+            if name == profile
+        )
+        result = differential_run(
+            profile,
+            factory,
+            timeout=timeout,
+            rounds=120,
+            seed=seed,
+            plan=canonical_adversary_plan(8, 120, seed=seed),
+            fault_name="adversary",
+        )
+        row = next(r for r in result.rows if r.quantity == "D_WLM rounds")
+        assert row.ok, (row.lockstep, row.event, row.tolerance)
 
 
 class TestDiffRow:

@@ -5,15 +5,20 @@ the resilience bound, loss bursts, partitions, slow nodes, leader churn —
 and asserts that (a) every consensus algorithm preserves uniform
 agreement and validity when the plan is injected into the lockstep
 runner, (b) plan derivations are deterministic pure functions of the
-seed, and (c) the event-driven run's per-round observations stay
-mutually consistent under arbitrary loss and staggered starts.
+seed, (c) the event-driven run's per-round observations stay
+mutually consistent under arbitrary loss and staggered starts, and (d)
+the plan's compiled epoch view answers every round exactly as the
+scalar predicates do.
 
 Example counts are deliberately small (the injected runs are whole
 consensus executions) to keep tier-1 quick; crank ``max_examples`` up
 locally when hunting.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
@@ -228,6 +233,189 @@ def test_mask_quiesces_and_respects_correct_set(world):
     for pid in dead:
         others = [q for q in range(n) if q != pid]
         assert mask[pid, others].all() and mask[others, pid].all()
+
+
+@st.composite
+def overlapping_plans(draw):
+    """Plans whose windows pile up: recovering crashes, and up to three
+    bursts, partitions and slow nodes each, free to overlap."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    max_round = 12
+
+    def window():
+        start = draw(st.integers(min_value=1, max_value=max_round))
+        return start, draw(st.integers(min_value=start, max_value=max_round))
+
+    crashes = []
+    for pid in draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n - 1),
+            unique=True,
+            max_size=(n + 1) // 2 - 1,
+        )
+    ):
+        start, end = window()
+        recover = end + 1 if draw(st.booleans()) else None
+        crashes.append(Crash(pid, start, recover_round=recover))
+    bursts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start, end = window()
+        drop_prob = draw(st.floats(min_value=0.0, max_value=1.0))
+        bursts.append(LossBurst(start, end, drop_prob))
+    partitions = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        members = draw(st.permutations(range(n)))
+        cut = draw(st.integers(min_value=1, max_value=n - 1))
+        start, end = window()
+        partitions.append(
+            Partition(
+                groups=(tuple(members[:cut]), tuple(members[cut:])),
+                start_round=start,
+                heal_round=end + 1,
+            )
+        )
+    slow_nodes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start, end = window()
+        slow_nodes.append(
+            SlowNode(
+                pid=draw(st.integers(min_value=0, max_value=n - 1)),
+                start_round=start,
+                end_round=end,
+                factor=draw(st.floats(min_value=1.0, max_value=5.0)),
+                drop_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+            )
+        )
+    churn = [LeaderChurn(*window()) for _ in range(draw(st.integers(0, 2)))]
+    return FaultPlan(
+        n=n,
+        crashes=tuple(crashes),
+        loss_bursts=tuple(bursts),
+        partitions=tuple(partitions),
+        slow_nodes=tuple(slow_nodes),
+        leader_churn=tuple(churn),
+        seed=draw(st.integers(min_value=0, max_value=2**31)),
+    )
+
+
+def reference_mask(plan, k):
+    """The per-round mask recomputed from scratch, with no memo: bursts
+    then slow nodes drawn from ``rng("mask", k)`` in plan order, then
+    partitions and down processes."""
+    n = plan.n
+    masked = np.zeros((n, n), dtype=bool)
+    rng = plan.rng("mask", k)
+    for burst in plan.loss_bursts:
+        if burst.active_at(k):
+            masked |= rng.random((n, n)) < burst.drop_prob
+    for slow in plan.slow_nodes:
+        if slow.active_at(k):
+            rows = rng.random((2, n)) < slow.drop_prob
+            masked[slow.pid, :] |= rows[0]
+            masked[:, slow.pid] |= rows[1]
+    for partition in plan.partitions:
+        if partition.active_at(k):
+            for group in partition.groups:
+                outside = [pid for pid in range(n) if pid not in group]
+                masked[np.ix_(list(group), outside)] = True
+    for pid in range(n):
+        if plan.down_at(pid, k):
+            masked[pid, :] = True
+            masked[:, pid] = True
+    np.fill_diagonal(masked, False)
+    return masked
+
+
+def twin_of(plan):
+    return pickle.loads(pickle.dumps(plan))
+
+
+def last_change(plan):
+    """The plan's quiet round, or a later permanent crash's onset."""
+    return max([plan.quiet_after()] + [c.at_round for c in plan.crashes])
+
+
+@given(plan=overlapping_plans())
+@settings(max_examples=60, deadline=None)
+def test_compiled_view_matches_scalar_predicates(plan):
+    """Every round up to two past the plan's last change (its quiet
+    round, or a later permanent crash): the compiled epoch state equals
+    the scalar predicates, memoized masks and churn leaders equal a
+    fresh plan's, and returned masks are read-only."""
+    n = plan.n
+    payload = pickle.dumps(plan)
+    fresh = twin_of(plan)
+    horizon = last_change(plan) + 2
+    view = plan.compiled
+    round_numbers = list(range(1, horizon + 1))
+    assert view.epochs_of(np.array(round_numbers)).tolist() == [
+        view.epoch_of(k) for k in round_numbers
+    ]
+    for k in round_numbers:
+        epoch = view.epoch_of(k)
+        down = [plan.down_at(pid, k) for pid in range(n)]
+        cut = [
+            [src != dst and plan.partitioned(src, dst, k) for src in range(n)]
+            for dst in range(n)
+        ]
+        slow = [plan.slow_factor(pid, k) for pid in range(n)]
+        bursts = tuple(
+            i for i, burst in enumerate(plan.loss_bursts) if burst.active_at(k)
+        )
+        assert view.down[epoch].tolist() == down
+        assert view.cut[epoch].tolist() == cut
+        assert view.slow[epoch].tolist() == slow
+        assert view.bursts[epoch] == bursts
+        assert view.burst_any[epoch] == bool(bursts)
+        assert view.down_sets[epoch] == {p for p in range(n) if down[p]}
+        assert view.cut_lists[epoch] == cut
+        assert view.slow_lists[epoch] == slow
+        down_row = np.array(down)
+        blocked = np.array(cut) | down_row[:, None] | down_row[None, :]
+        assert (view.blocked[epoch] == blocked).all()
+
+        mask = plan.mask(k)
+        assert (mask == reference_mask(fresh, k)).all()
+        assert np.shares_memory(plan.mask(k), mask)  # memoized, not rebuilt
+        with pytest.raises(ValueError):
+            mask[0, 1] = not mask[0, 1]
+        assert plan.churn_leader(k) == fresh.churn_leader(k)
+        assert plan.churn_leader(k) == int(
+            plan.rng("churn", k).integers(n)
+        )
+    acting = view.acting_leaders(horizon, -1).tolist()
+    assert acting == [
+        plan.churn_leader(k) if plan.churning_at(k) else -1
+        for k in round_numbers
+    ]
+    # Masks queried in reverse on a fresh plan, and the stacked form.
+    for k in reversed(round_numbers):
+        assert (twin_of(plan).mask(k) == plan.mask(k)).all()
+    stack = view.mask_stack(horizon)
+    assert stack.shape == (horizon, n, n)
+    assert all((stack[k - 1] == plan.mask(k)).all() for k in round_numbers)
+    with pytest.raises(ValueError):
+        stack[0, 0, 1] = True
+    # The memo is not part of the plan: equality and pickles unchanged.
+    assert plan == fresh and repr(plan) == repr(fresh)
+    assert pickle.dumps(plan) == payload
+    assert "compiled" not in pickle.loads(payload).__dict__
+
+
+@given(
+    plan=overlapping_plans(), seed=st.integers(min_value=0, max_value=2**31)
+)
+@settings(max_examples=30, deadline=None)
+def test_apply_to_matrices_matches_per_round_masking(plan, seed):
+    n = plan.n
+    rounds = last_change(plan) + 3
+    matrices = np.random.default_rng(seed).random((rounds, n, n)) < 0.7
+    expected = matrices.copy()
+    for k in range(1, rounds + 1):
+        expected[k - 1] &= ~reference_mask(plan, k)
+    diag = np.arange(n)
+    expected[:, diag, diag] = matrices[:, diag, diag]
+    assert (plan.apply_to_matrices(matrices) == expected).all()
 
 
 class DroppyLatency:

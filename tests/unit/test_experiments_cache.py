@@ -57,6 +57,15 @@ class TestTraceCache:
         assert cache.misses == 1
         assert cache.hits == 0
 
+    def test_zero_byte_file_is_a_miss(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        path = cache.path("wan", "empty")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"")
+        assert cache.load("wan", "empty") is None
+        assert cache.misses == 1
+        assert cache.hits == 0
+
     def test_entries_counts_stored_traces(self, tmp_path):
         cache = TraceCache(tmp_path)
         assert cache.entries() == 0
