@@ -3,7 +3,7 @@
 Unlike the figure/table benchmarks (which run once and assert shapes),
 these time the hot paths with pytest-benchmark's full repetition
 machinery: lockstep consensus rounds, model predicates, matrix sampling,
-and the closed forms.  They guard against performance regressions that
+the closed forms, and the scalar round-sync event loop.  They guard against performance regressions that
 would make the paper-scale sweeps impractical.
 """
 
@@ -11,6 +11,8 @@ import numpy as np
 
 from repro.analysis.equations import expected_decision_rounds
 from repro.core import WlmConsensus
+from repro.experiments.robustness import event_stack_builder
+from repro.faults.plan import Crash, FaultPlan, LossBurst, SlowNode
 from repro.giraf import FixedLeaderOracle, IIDSchedule, LockstepRunner, StableAfterSchedule
 from repro.models import get_model
 from repro.net.planetlab import PlanetLabProfile
@@ -80,3 +82,30 @@ def test_perf_closed_forms(benchmark):
 
     curves = benchmark(evaluate)
     assert all(len(v) == 200 for v in curves.values())
+
+
+def test_perf_scalar_round_sync(benchmark):
+    """One forced-scalar round-sync run (n=8, 120 rounds, static WAN) with
+    HeartbeatOmega, live metrics and a fault plan: the event heap, the
+    transport's link streams and per-message fault lookups, the O(1)
+    stop check and the per-round detector updates — the loop the
+    robustness cross-check spends its time in."""
+    n = 8
+    plan = FaultPlan(
+        n=n,
+        crashes=(Crash(pid=2, at_round=20, recover_round=40),),
+        loss_bursts=(LossBurst(start_round=50, end_round=60, drop_prob=0.6),),
+        slow_nodes=(
+            SlowNode(pid=n - 1, start_round=70, end_round=90, factor=3.0),
+        ),
+        seed=11,
+    )
+    build = event_stack_builder(n, rounds=120, timeout=0.21, seed=7)
+
+    def run():
+        sync_run, _ = build(plan)
+        return sync_run.run(mode="scalar")
+
+    result = benchmark(run)
+    assert len(result.matrices) == 120
+    assert result.jumps[2] >= 1  # the recovered node rejoined by jumping

@@ -30,7 +30,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim import Transport
 from repro.sync import HeartbeatAlgorithm, SyncRun
-from repro.sync.batch import result_divergences
+from repro.sync.batch import comparable_counters, result_divergences
 
 NODES = 8
 ROUNDS = 1500
@@ -126,15 +126,6 @@ def build_faulted_run():
     )
     run.bench_metrics = metrics
     return run
-
-
-def comparable_counters(metrics):
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
 
 
 def test_batched_round_sync_speedup(save_result):

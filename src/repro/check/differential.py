@@ -65,7 +65,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
-from repro.sync.batch import RESULT_FIELDS, result_divergences
+from repro.sync.batch import (
+    RESULT_FIELDS,
+    comparable_counters,
+    result_divergences,
+)
 from repro.sync.heartbeat import HeartbeatAlgorithm
 from repro.sync.round_sync import SyncRun
 
@@ -436,17 +440,6 @@ def canonical_batch_plan(n: int, rounds: int, seed: int = 0) -> FaultPlan:
     )
 
 
-def _comparable_counters(metrics: MetricsRegistry) -> dict:
-    """Counter totals minus the executed-mode bookkeeping, which differs
-    between a forced-scalar and a batched run by construction."""
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
-
-
 def batched_differential_run(
     profile_name: str,
     static_factory: Callable[..., LatencyModel],
@@ -570,8 +563,8 @@ def batched_differential_run(
         )
     )
     if instrumented:
-        metrics_ok = _comparable_counters(scalar_metrics) == (
-            _comparable_counters(batched_metrics)
+        metrics_ok = comparable_counters(scalar_metrics) == (
+            comparable_counters(batched_metrics)
         )
         rows.append(
             DiffRow(

@@ -21,7 +21,7 @@ Run it through ``python -m repro.experiments --faults`` or directly via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.rng import derive_seed
 from repro.sim.transport import Transport
-from repro.sync.batch import result_divergences
+from repro.sync.batch import comparable_counters, result_divergences
 from repro.sync.heartbeat import HeartbeatAlgorithm
 from repro.sync.round_sync import SyncRun
 
@@ -296,35 +296,14 @@ class EventStackRow:
     identical: bool
 
 
-def _comparable_counters(metrics: MetricsRegistry) -> dict:
-    return {
-        key: value
-        for key, value in metrics.snapshot()["counters"].items()
-        if not key.startswith("sync.executed_mode")
-        and not key.startswith("sync.batch_fallback")
-    }
-
-
-def event_stack_crosscheck(
-    n: int,
-    rounds: int,
-    timeout: float,
-    seed: int = 0,
-    plans: Optional[dict[str, FaultPlan]] = None,
-) -> list[EventStackRow]:
-    """Run each canonical fault class through :class:`SyncRun` twice —
-    auto mode (batched where eligible) and forced scalar — on a static
-    WAN profile with live metrics and the HeartbeatOmega detector, and
-    record the executed mode plus whether the artifacts are identical.
-
-    This is the robustness phase's half of the widened fast path's
-    contract: fault classes the batch path claims (loss bursts,
-    partitions, slow nodes, permanent crashes, leader churn) must ride
-    it bit-identically; the residual classes (crash *recovery*) must
-    fall back with an attributed reason.
-    """
-    if plans is None:
-        plans = canonical_plans(n, rounds, seed)
+def event_stack_builder(
+    n: int, rounds: int, timeout: float, seed: int = 0
+) -> Callable[[FaultPlan], tuple[SyncRun, MetricsRegistry]]:
+    """The factory :func:`event_stack_crosscheck` builds its runs with:
+    ``build(plan)`` returns a fresh :class:`SyncRun` of ``n`` heartbeat
+    nodes on a static WAN profile, with live metrics and the
+    HeartbeatOmega detector, and that run's metrics registry.  Every run
+    of one builder shares the profile and the latency table."""
     profile_seed = derive_seed(seed, "faults:event-stack:profile")
     table = measure_latency_table(
         planetlab_profile(
@@ -353,6 +332,31 @@ def event_stack_crosscheck(
         )
         return run, metrics
 
+    return build
+
+
+def event_stack_crosscheck(
+    n: int,
+    rounds: int,
+    timeout: float,
+    seed: int = 0,
+    plans: Optional[dict[str, FaultPlan]] = None,
+) -> list[EventStackRow]:
+    """Run each canonical fault class through :class:`SyncRun` twice —
+    auto mode (batched where eligible) and forced scalar — on a static
+    WAN profile with live metrics and the HeartbeatOmega detector, and
+    record the executed mode plus whether the artifacts are identical.
+
+    This is the robustness phase's half of the widened fast path's
+    contract: fault classes the batch path claims (loss bursts,
+    partitions, slow nodes, permanent crashes, leader churn) must ride
+    it bit-identically; the residual classes (crash *recovery*) must
+    fall back with an attributed reason.
+    """
+    if plans is None:
+        plans = canonical_plans(n, rounds, seed)
+    build = event_stack_builder(n, rounds, timeout, seed)
+
     rows = []
     for fault_name, plan in plans.items():
         auto_run, auto_metrics = build(plan)
@@ -368,8 +372,8 @@ def event_stack_crosscheck(
                 and a.crashed_permanently == b.crashed_permanently
                 for a, b in zip(scalar_run.nodes, auto_run.nodes)
             )
-            and _comparable_counters(scalar_metrics)
-            == _comparable_counters(auto_metrics)
+            and comparable_counters(scalar_metrics)
+            == comparable_counters(auto_metrics)
         )
         rows.append(
             EventStackRow(

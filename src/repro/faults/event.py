@@ -73,6 +73,9 @@ class PlanLinkFaults:
         self.last_drop_cause: Optional[str] = None
         self._metrics = registry_or_null(metrics)
         self._seen_activations: set[tuple[str, int]] = set()
+        self._view = plan.compiled
+        self._located_at: Optional[float] = None
+        self._location = (1, 0)
 
     def _activate(self, kind: str, index: int) -> None:
         if (kind, index) in self._seen_activations:
@@ -84,11 +87,26 @@ class PlanLinkFaults:
         """The 1-based plan round covering simulation time ``now``."""
         return max(1, int(now // self.timeout) + 1)
 
+    def _locate(self, now: float) -> tuple[int, int]:
+        """The plan round and the compiled-plan epoch covering ``now``.
+
+        The transport asks :meth:`drop` and then :meth:`latency_factor`
+        about each message, and a broadcast sends many messages at one
+        instant, so the answer for the last ``now`` is kept.
+        """
+        if now != self._located_at:
+            round_number = self.round_of(now)
+            self._location = (
+                round_number,
+                bisect_right(self._view.starts, round_number) - 1,
+            )
+            self._located_at = now
+        return self._location
+
     def drop(self, src: int, dst: int, now: float) -> bool:
-        round_number = self.round_of(now)
+        round_number, epoch = self._locate(now)
         plan = self.plan
-        view = plan.compiled
-        epoch = bisect_right(view.starts, round_number) - 1
+        view = self._view
         self.last_drop_cause = None
         down = view.down_sets[epoch]
         if src in down or dst in down:
@@ -117,9 +135,7 @@ class PlanLinkFaults:
         return False
 
     def latency_factor(self, src: int, dst: int, now: float) -> float:
-        view = self.plan.compiled
-        epoch = bisect_right(view.starts, self.round_of(now)) - 1
-        slow = view.slow_lists[epoch]
+        slow = self._view.slow_lists[self._locate(now)[1]]
         return slow[src] * slow[dst]
 
 

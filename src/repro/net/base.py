@@ -17,16 +17,33 @@ see statistically identical networks.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.rng import derive_pcg64_state
 
-#: (seed, src, dst, start_round) -> raw PCG64 state dict.  Substreams are
-#: pure functions of their key (model-independent by design), so the cache
-#: is shared process-wide; entries are a few hundred bytes each.
-_LINK_STATE_CACHE: dict = {}
+#: How many link substream states :func:`_link_state` keeps.  Repeated
+#: transports of one profile reuse its ``n * (n - 1)`` links, while a
+#: sweep derives fresh seeds for every run and never hits, so the cache
+#: keeps the most recently used states only.
+LINK_STATE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=LINK_STATE_CACHE_SIZE)
+def _link_state(seed: int, src: int, dst: int, start_round: int) -> dict:
+    """The raw PCG64 state of one link's substream.
+
+    Substreams are pure functions of ``(seed, link, start_round)``
+    (model-independent by design), so the cache is shared process-wide;
+    entries are a few hundred bytes each.  Callers only assign the state
+    to a bit generator, which copies it.
+    """
+    name = f"link:{src}->{dst}"
+    if start_round:
+        name = f"{name}:from:{start_round}"
+    return derive_pcg64_state(seed, name)
 
 
 class LatencyModel(abc.ABC):
@@ -62,7 +79,7 @@ class LatencyModel(abc.ABC):
         self._rng = np.random.default_rng(seed)
         # One scratch bit generator the trace loop reuses; see
         # _trace_stream.  Link substream states live in the module-level
-        # _LINK_STATE_CACHE: they depend only on (seed, link), never on
+        # _link_state cache: they depend only on (seed, link), never on
         # the model, so fresh instances of the same seed share them.
         self._scratch_bitgen: Optional[np.random.PCG64] = None
 
@@ -116,20 +133,8 @@ class LatencyModel(abc.ABC):
         seed-sequence mixing pass — SHA-256 already did the mixing.
         """
         bitgen = np.random.PCG64(0)
-        bitgen.state = self._link_state(src, dst, start_round)
+        bitgen.state = _link_state(self.seed, src, dst, start_round)
         return np.random.Generator(bitgen)
-
-    def _link_state(self, src: int, dst: int, start_round: int) -> dict:
-        """The cached raw PCG64 state of one link's substream."""
-        key = (self.seed, src, dst, start_round)
-        state = _LINK_STATE_CACHE.get(key)
-        if state is None:
-            name = f"link:{src}->{dst}"
-            if start_round:
-                name = f"{name}:from:{start_round}"
-            state = derive_pcg64_state(self.seed, name)
-            _LINK_STATE_CACHE[key] = state
-        return state
 
     def _trace_stream(
         self, src: int, dst: int, start_round: int
@@ -148,7 +153,7 @@ class LatencyModel(abc.ABC):
         bitgen = self._scratch_bitgen
         if bitgen is None:
             bitgen = self._scratch_bitgen = np.random.PCG64(0)
-        bitgen.state = self._link_state(src, dst, start_round)
+        bitgen.state = _link_state(self.seed, src, dst, start_round)
         return np.random.Generator(bitgen)
 
     def sample_link_batch(

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is driven incorrectly."""
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
+
+    The queue orders events by ``(time, priority, seq)``; it keeps that
+    key in its heap entries, so events themselves are not comparable.
 
     Attributes:
         time: absolute simulation time at which the event fires.
@@ -31,15 +32,31 @@ class Event:
         tag: free-form label used in tests and tracing.
     """
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    tag: str = field(default="", compare=False)
-    _queue: Optional["EventQueue"] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("time", "priority", "seq", "action", "cancelled", "tag", "_queue")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        action: Callable[[], None],
+        cancelled: bool = False,
+        tag: str = "",
+        _queue: Optional["EventQueue"] = None,
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.action = action
+        self.cancelled = cancelled
+        self.tag = tag
+        self._queue = _queue
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, priority={self.priority!r}, "
+            f"seq={self.seq!r}, cancelled={self.cancelled!r}, tag={self.tag!r})"
+        )
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it."""
@@ -51,10 +68,15 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects.
+
+    Heap entries are ``(time, priority, seq, event)`` tuples: ``seq`` is
+    unique, so every comparison is decided by the first three fields
+    and runs in C, never reaching the event.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -76,22 +98,17 @@ class EventQueue:
         tag: str = "",
     ) -> Event:
         """Schedule ``action`` at absolute ``time`` and return the event."""
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            action=action,
-            tag=tag,
-            _queue=self,
-        )
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, False, tag, self)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 self._live -= 1
                 event._queue = None
@@ -100,16 +117,23 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, if any."""
-        while self._heap and self._heap[0].cancelled:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
             # Detach the event as it leaves the heap, exactly as pop()
             # does for live events: the ``len(queue) == live events``
             # invariant must never depend on a back-reference to an
             # event this queue no longer holds.
-            dropped = heapq.heappop(self._heap)
-            dropped._queue = None
-        if not self._heap:
+            heapq.heappop(heap)[3]._queue = None
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
+
+    def clear(self) -> None:
+        """Discard every pending event, detaching each from this queue."""
+        for entry in self._heap:
+            entry[3]._queue = None
+        self._heap.clear()
+        self._live = 0
 
 
 class Simulator:
@@ -158,7 +182,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        return self._queue.push(time, action, priority=priority, tag=tag)
+        return self._queue.push(time, action, priority, tag)
 
     def schedule_in(
         self,
@@ -170,7 +194,9 @@ class Simulator:
         """Schedule ``action`` after ``delay`` units of simulation time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule(self._now + delay, action, priority=priority, tag=tag)
+        # ``now + delay`` is never before ``now`` for a non-negative
+        # delay, so schedule()'s past check cannot fire here.
+        return self._queue.push(self._now + delay, action, priority, tag)
 
     def run(
         self,
@@ -193,6 +219,9 @@ class Simulator:
             raise SimulationError("run() re-entered; the simulator is not reentrant")
         self._running = True
         fired = 0
+        queue = self._queue
+        heap = queue._heap
+        heappop = heapq.heappop
         try:
             # A stop condition that already holds must prevent the first
             # event from firing at all: one extra event can mutate state
@@ -202,18 +231,22 @@ class Simulator:
             # between it and the next pop.
             if stop_when is not None and stop_when():
                 return self._now
-            while True:
-                if max_events is not None and fired >= max_events:
+            # EventQueue.peek_time() and pop() fused into one loop over
+            # the heap; ``queue`` and ``heap`` stay valid for the whole
+            # run because drain() clears the queue in place.
+            while max_events is None or fired < max_events:
+                while heap and heap[0][3].cancelled:
+                    heappop(heap)[3]._queue = None
+                if not heap:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+                time = heap[0][0]
+                if until is not None and time > until:
                     self._now = until
                     break
-                event = self._queue.pop()
-                assert event is not None
-                self._now = event.time
+                event = heappop(heap)[3]
+                queue._live -= 1
+                event._queue = None
+                self._now = time
                 event.action()
                 self._events_processed += 1
                 fired += 1
@@ -240,11 +273,8 @@ class Simulator:
     def drain(self) -> None:
         """Discard all pending events (used when tearing a run down).
 
-        Discarded events are detached from the abandoned queue so a
-        post-drain ``cancel()`` is a true no-op instead of decrementing
-        the dead queue's live count (and pinning it in memory through the
-        back-reference).
+        Discarded events are detached from the queue so a post-drain
+        ``cancel()`` is a true no-op instead of decrementing the live
+        count of events the queue no longer holds.
         """
-        for event in self._queue._heap:
-            event._queue = None
-        self._queue = EventQueue()
+        self._queue.clear()

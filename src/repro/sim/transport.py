@@ -11,6 +11,7 @@ statistics of the link model, not from the transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isinf
 from typing import Any, Callable, Optional, Protocol
 
 import numpy as np
@@ -112,7 +113,7 @@ class Transport:
         self._trace = trace
         self._trace_payloads = trace_payloads
         self._batch_streams = batch_streams
-        self._streams: dict[tuple[int, int], tuple] = {}
+        self._streams: dict[tuple[int, int], list] = {}
         self._configure_streams(link_model)
         self.deliveries: list[Delivery] = []
         self.messages_sent = 0
@@ -230,20 +231,34 @@ class Transport:
         model = self._stream_base
         state = self._streams.get(key)
         if state is None:
-            state = [model.link_stream(src, dst), np.empty(0), 0]
+            state = [model.link_stream(src, dst), [], 0]
             self._streams[key] = state
         rng, chunk, cursor = state
-        if cursor >= chunk.shape[0]:
+        if cursor >= len(chunk):
             # Time-invariant models ignore send times; any placeholder
-            # vector of the right length works.
+            # vector of the right length works.  The chunk is kept as a
+            # list of Python floats: indexing it costs no NumPy scalar.
             chunk = model.sample_link_batch(
                 src, dst, np.zeros(STREAM_CHUNK), rng
-            )
+            ).tolist()
             cursor = 0
             state[1] = chunk
         value = chunk[cursor]
         state[2] = cursor + 1
-        return None if np.isinf(value) else float(value)
+        return None if isinf(value) else value
+
+    def install_link_stream(
+        self,
+        src: int,
+        dst: int,
+        rng: np.random.Generator,
+        chunk: np.ndarray,
+        cursor: int,
+    ) -> None:
+        """Leave the link ``src → dst`` with ``cursor`` values of
+        ``chunk`` consumed from its substream ``rng``, as if the sends
+        had gone through :meth:`send` (the batched executors use this)."""
+        self._streams[(src, dst)] = [rng, chunk.tolist(), cursor]
 
     def register(self, node: int, handler: Callable[[int, Any], None]) -> None:
         """Install ``handler(src, payload)`` as the receive callback of ``node``."""
@@ -309,7 +324,7 @@ class Transport:
             self._delivered_counter.inc()
             handler(src, payload)
 
-        self._simulator.schedule_in(latency, deliver, tag=f"deliver:{src}->{dst}")
+        self._simulator.schedule_in(latency, deliver)
 
     def broadcast(self, src: int, destinations: list[int], payload: Any) -> None:
         """Send ``payload`` to each destination (independent loss/latency)."""

@@ -32,9 +32,9 @@ This module computes the same run in a handful of NumPy passes:
 5. transport and round-sync telemetry (``repro.obs`` counters and the
    latency histogram) is bulk-accumulated from the same arrays,
    equivalent to the scalar path's per-event increments, and
-   oracle-bearing runs replay each round's delivery rows into
-   :class:`~repro.oracles.omega.HeartbeatOmega` through its row-local
-   bulk seam;
+   oracle-bearing runs replay every round's observations and queries
+   into :class:`~repro.oracles.omega.HeartbeatOmega` in one pass
+   (:meth:`~repro.oracles.omega.HeartbeatOmega.replay_rounds`);
 6. the per-node observation state (``round_starts``, ``round_ends``,
    ``timely_receipts``, counters) is written back onto the
    :class:`~repro.sync.round_sync.SyncedNode` objects and the ordinary
@@ -109,6 +109,7 @@ import numpy as np
 from repro.faults.event import PlanLinkFaults
 from repro.faults.lockstep import ChurningOracle
 from repro.giraf.oracle import NullOracle
+from repro.obs.registry import MetricsRegistry
 from repro.oracles.omega import HeartbeatOmega
 from repro.sim.transport import STREAM_CHUNK, Transport
 from repro.sync.heartbeat import HeartbeatAlgorithm
@@ -154,6 +155,18 @@ def result_divergences(a: SyncRunResult, b: SyncRunResult) -> list[str]:
         if getattr(a, name) != getattr(b, name):
             diffs.append(name)
     return diffs
+
+
+def comparable_counters(metrics: MetricsRegistry) -> dict:
+    """Counter totals minus the executed-mode bookkeeping, which differs
+    between a forced-scalar and a batched run by construction — the
+    metric totals the two paths must agree on."""
+    return {
+        key: value
+        for key, value in metrics.snapshot()["counters"].items()
+        if not key.startswith("sync.executed_mode")
+        and not key.startswith("sync.batch_fallback")
+    }
 
 
 def batch_ineligible_reason(
@@ -321,7 +334,7 @@ def _presample_links(run: SyncRun, per_src_rounds: np.ndarray) -> np.ndarray:
             column = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             block[:draws, dst, src] = column[:draws]
             cursor = (draws - 1) % STREAM_CHUNK + 1
-            transport._streams[(src, dst)] = [rng, chunks[-1], cursor]
+            transport.install_link_stream(src, dst, rng, chunks[-1], cursor)
     return block
 
 
@@ -505,19 +518,32 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     # ------------------------------------------------------------------
     # Per-node observation state (what _collect and the tests read).
     # ------------------------------------------------------------------
+    # Each begun round's receipt set is its row of ``timely`` plus the
+    # node itself.  Rows repeat across rounds, so each distinct row
+    # (keyed by its packed bits) is decoded once, and every round gets
+    # its own copy of that row's set.
+    heard = timely.copy()
+    heard[:, np.arange(n), np.arange(n)] = True
+    rows = heard.reshape(rounds * n, n)
+    packed = np.packbits(rows, axis=1)
+    _, first, row_ids = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    distinct = [set(np.flatnonzero(rows[i]).tolist()) for i in first]
+    row_ids = row_ids.reshape(rounds, n)
     for node in run.nodes:
         pid = node.process.pid
         b = int(begun[pid])
         e = int(ended[pid])
-        receipts: dict[int, set[int]] = {}
-        timely_to = timely[:, pid, :]
-        for k in range(1, b + 1):
-            srcs = set(np.flatnonzero(timely_to[k - 1]).tolist())
-            srcs.add(pid)
-            receipts[k] = srcs
+        receipts = {
+            k: distinct[row].copy()
+            for k, row in enumerate(row_ids[:b, pid].tolist(), 1)
+        }
         node.timely_receipts = receipts
-        node.round_starts = {k: times[k - 1] for k in range(1, b + 1)}
-        node.round_ends = {k: times[k] for k in range(1, e + 1)}
+        node.round_starts = dict(zip(range(1, b + 1), times))
+        node.round_ends = dict(zip(range(1, e + 1), times[1:]))
         node.late_messages = int(late_counts[pid])
         node.jumps = 0
         node.running = False
@@ -560,9 +586,9 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
     # ------------------------------------------------------------------
     # Oracle and observer replay: the boot queries, then each round's
     # per-ender row observations and queries, in scalar order.  The
-    # heartbeat detector is row-local, so bulk row observation followed
-    # by in-order queries is bit-equivalent to the interleaved scalar
-    # sequence.  Skipped entirely when nothing listens.
+    # heartbeat detector is row-local, so replaying every round of every
+    # row in one bulk pass leaves it exactly as the interleaved scalar
+    # sequence does.  Skipped entirely when nothing listens.
     # ------------------------------------------------------------------
     oracle = run.nodes[0].oracle
     inner = oracle._base if isinstance(oracle, ChurningOracle) else oracle
@@ -575,20 +601,29 @@ def run_batched(run: SyncRun, time_limit: float) -> SyncRunResult:
         for node in run.nodes:
             output = oracle.query(node.process.pid, 0)
             node._notify("on_oracle", node.process.pid, 0, output)
-        observe_rows = getattr(oracle, "observe_rows", None)
-        ends_per_round = [
-            [pid for pid in range(n) if k <= ended[pid]]
+        # Leader-churn rounds are answered by the wrapper; the detector
+        # still observes them.
+        churning = [
+            oracle is not inner and oracle.plan.churning_at(k)
             for k in range(1, rounds + 1)
         ]
-        for k in range(1, rounds + 1):
-            enders = ends_per_round[k - 1]
-            if not enders:
-                continue
-            if observe_rows is not None:
-                observe_rows(k, timely[k - 1], rows=enders)
-            for pid in enders:
-                output = oracle.query(pid, k)
-                run.nodes[pid]._notify("on_oracle", pid, k, output)
+        leaders = None
+        if wants_oracle:
+            leaders = inner.replay_rounds(
+                timely, ended, np.logical_not(churning)
+            ).tolist()
+        if wants_notify:
+            for k in range(1, rounds + 1):
+                for pid in range(n):
+                    if k > ended[pid]:
+                        continue
+                    if leaders is None:
+                        output = oracle.query(pid, k)
+                    elif churning[k - 1]:
+                        output = oracle.plan.churn_leader(k)
+                    else:
+                        output = leaders[k - 1][pid]
+                    run.nodes[pid]._notify("on_oracle", pid, k, output)
 
     # Leave the simulator where the scalar loop stops: at the last
     # surviving round-end timer, with the never-fired events discarded.

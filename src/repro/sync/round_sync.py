@@ -18,7 +18,8 @@ per-round delivery matrices comparable with the lockstep ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,10 @@ from repro.obs.registry import MetricsRegistry, registry_or_null
 from repro.sim.clock import Clock
 from repro.sim.events import Event, Simulator
 from repro.sim.transport import Transport
+
+
+def _int_array(values: Iterable[int]) -> np.ndarray:
+    return np.fromiter(values, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,7 @@ class SyncedNode:
         metrics: Optional[MetricsRegistry] = None,
         recorder: Optional[RunRecorder] = None,
         observers: Sequence[Any] = (),
+        on_stop: Optional[Callable[[], None]] = None,
     ) -> None:
         self.process = process
         self.oracle = oracle
@@ -85,6 +91,7 @@ class SyncedNode:
         self._late_counter = self._metrics.counter("sync.late_messages")
         self._timer: Optional[Event] = None
         self._observers = list(observers)
+        self._on_stop = on_stop
         self.running = False
         self.crashed = False
         self.crashed_permanently = False
@@ -98,6 +105,12 @@ class SyncedNode:
 
         transport.register(process.pid, self._on_receive)
         simulator.schedule(start_time, self._boot, tag=f"boot:{process.pid}")
+
+    def _stopped(self) -> None:
+        """The node has stopped for good after starting (its run is over)."""
+        self.running = False
+        if self._on_stop is not None:
+            self._on_stop()
 
     def _notify(self, hook: str, *args: Any) -> None:
         for observer in self._observers:
@@ -129,7 +142,7 @@ class SyncedNode:
     def _begin_round(self, local_duration: float) -> None:
         k = self.process.round
         if self.max_rounds is not None and k > self.max_rounds:
-            self.running = False
+            self._stopped()
             return
         self.round_starts[k] = self.simulator.now
         self._rounds_started.inc()
@@ -143,9 +156,7 @@ class SyncedNode:
                 self.transport.send(self.process.pid, dst, wire)
         duration = max(local_duration, MIN_ROUND_FRACTION * self.timeout)
         self._timer = self.simulator.schedule_in(
-            self.clock.global_duration(duration),
-            self._on_timer,
-            tag=f"round-end:{self.process.pid}:{k}",
+            self.clock.global_duration(duration), self._on_timer
         )
 
     def _end_round(self, next_round: Optional[int] = None) -> None:
@@ -161,8 +172,9 @@ class SyncedNode:
         # exposing the seam are row-local by contract.
         observe_row = getattr(self.oracle, "observe_row", None)
         if observe_row is not None:
-            row = np.zeros(len(self.latency_estimates), dtype=bool)
-            row[list(self.timely_receipts.get(k, ()))] = True
+            row = [False] * len(self.latency_estimates)
+            for src in self.timely_receipts.get(k, ()):
+                row[src] = True
             observe_row(self.process.pid, k, row)
         output = self.oracle.query(self.process.pid, k)
         self._notify("on_oracle", self.process.pid, k, output)
@@ -191,7 +203,7 @@ class SyncedNode:
         self.crashed = True
         if permanent:
             self.crashed_permanently = True
-            self.running = False
+            self._stopped()
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -218,9 +230,7 @@ class SyncedNode:
         remaining -= self.clock.global_duration(delta_local)
         self._timer.cancel()
         self._timer = self.simulator.schedule_in(
-            max(0.0, remaining),
-            self._on_timer,
-            tag=f"round-end:{self.process.pid}:{self.process.round}",
+            max(0.0, remaining), self._on_timer
         )
 
     # ------------------------------------------------------------------
@@ -337,6 +347,10 @@ class SyncRun:
             clocks = [Clock() for _ in range(n)]
         if start_times is None:
             start_times = [0.0] * n
+        # Nodes that started and then stopped for good (passed
+        # max_rounds, or crashed permanently): the run is over when all
+        # n have, which makes the simulator's per-event stop check O(1).
+        self._stopped_nodes = 0
         self.nodes = [
             SyncedNode(
                 process=GirafProcess(pid, algorithm_factory(pid)),
@@ -351,6 +365,7 @@ class SyncRun:
                 metrics=metrics,
                 recorder=recorder,
                 observers=self.observers,
+                on_stop=self._count_stopped_node,
             )
             for pid in range(n)
         ]
@@ -371,6 +386,9 @@ class SyncRun:
         #: "batch"), and why the batched path was skipped, if it was.
         self.executed_mode: Optional[str] = None
         self.fallback_reason: Optional[str] = None
+
+    def _count_stopped_node(self) -> None:
+        self._stopped_nodes += 1
 
     def _schedule_node_faults(self, plan: FaultPlan, timeout: float) -> None:
         """Book the plan's node-level faults on the simulator clock."""
@@ -490,15 +508,13 @@ class SyncRun:
         if self.fault_plan is not None and not self._faults_scheduled:
             self._faults_scheduled = True
             self._schedule_node_faults(self.fault_plan, self._plan_timeout)
-        # "Done" must require having started: before the boot events fire
-        # no node is running, and a bare ``not running`` predicate would
-        # satisfy the simulator's entry check and stop the run at time 0.
+        # "Done" counts only nodes that started: before the boot events
+        # fire no node is running, and a bare ``not running`` predicate
+        # would satisfy the simulator's entry check and stop the run at
+        # time 0.
+        n = self.n
         self.simulator.run(
-            until=time_limit,
-            stop_when=lambda: all(
-                node.process.started and not node.running
-                for node in self.nodes
-            ),
+            until=time_limit, stop_when=lambda: self._stopped_nodes == n
         )
         return self._collect()
 
@@ -519,48 +535,66 @@ class SyncRun:
         last_round = min(
             max(node.round_ends, default=0) for node in participants
         )
-        for k in range(1, last_round + 1):
-            # No pre-seeded diagonal: a node that jumped over round k was
-            # not timely even to itself there, and crediting it would
-            # inflate P_M.  Nodes that did execute the round credited
-            # themselves in ``timely_receipts`` when the round began.
-            matrix = np.zeros((self.n, self.n), dtype=bool)
-            for dst, node in enumerate(self.nodes):
-                if k in node.round_ends:  # executed (not skipped) round k
-                    for src in node.timely_receipts.get(k, ()):
-                        matrix[dst, src] = True
-            result.matrices.append(matrix)
-            # The event path assembles matrices post-hoc, so observers'
-            # ``on_round_matrix`` hooks fire here as a replay after the
-            # simulation ends — same stream as the lockstep runner's live
-            # notifications, delivered late.
-            for observer in self.observers:
-                method = getattr(observer, "on_round_matrix", None)
-                if method is not None:
+        n = self.n
+        # All rounds' matrices are filled in one (rounds, n, n) block;
+        # ``matrices`` holds its per-round views.  No pre-seeded
+        # diagonal: a node that jumped over round k was not timely even
+        # to itself there, and crediting it would inflate P_M.  Nodes
+        # that did execute the round credited themselves in
+        # ``timely_receipts`` when the round began.
+        block = np.zeros((last_round, n, n), dtype=bool)
+        starts = np.full((n, last_round), np.nan)
+        for dst, node in enumerate(self.nodes):
+            # Executed (not skipped) rounds are the ended ones.
+            executed = [k for k in node.round_ends if k <= last_round]
+            receipts = [node.timely_receipts.get(k, ()) for k in executed]
+            rows = np.repeat(
+                _int_array(executed) - 1, _int_array(map(len, receipts))
+            )
+            block[rows, dst, _int_array(chain.from_iterable(receipts))] = True
+            begun = [k for k in node.round_starts if k <= last_round]
+            starts[dst, _int_array(begun) - 1] = list(
+                map(node.round_starts.__getitem__, begun)
+            )
+        result.matrices = list(block)
+        # The event path assembles matrices post-hoc, so observers'
+        # ``on_round_matrix`` hooks fire here as a replay after the
+        # simulation ends — same stream as the lockstep runner's live
+        # notifications, delivered late.
+        hooks = [
+            method
+            for method in (
+                getattr(observer, "on_round_matrix", None)
+                for observer in self.observers
+            )
+            if method is not None
+        ]
+        if hooks:
+            for k, matrix in enumerate(result.matrices, 1):
+                for method in hooks:
                     method(k, matrix)
-            starts = [
-                node.round_starts[k]
-                for node in self.nodes
-                if k in node.round_starts
-            ]
-            # One entry per round, aligned with ``matrices``: rounds some
-            # node never started are nan rather than silently dropped
-            # (dropping them shifted every later reading onto the wrong
-            # round for any run with jumps).
-            if len(starts) == self.n:
-                spread = max(starts) - min(starts)
-                result.sync_error.append(spread)
-                self.metrics.histogram("sync.round_sync_error").observe(spread)
-            else:
-                result.sync_error.append(float("nan"))
+        # One entry per round, aligned with ``matrices``: rounds some
+        # node never started are nan rather than silently dropped
+        # (dropping them shifted every later reading onto the wrong
+        # round for any run with jumps).
+        complete = ~np.isnan(starts).any(axis=0)
+        present = starts[:, complete]
+        spread = np.full(last_round, np.nan)
+        spread[complete] = present.max(axis=0) - present.min(axis=0)
+        result.sync_error = spread.tolist()
+        if complete.any():
+            self.metrics.histogram("sync.round_sync_error").observe_many(
+                spread[complete]
+            )
         for node in self.nodes:
-            durations = [
-                node.round_ends[k] - node.round_starts[k]
-                for k in node.round_ends
-                if k in node.round_starts
-            ]
+            timed = [k for k in node.round_ends if k in node.round_starts]
+            durations = np.fromiter(
+                map(node.round_ends.__getitem__, timed), float, len(timed)
+            ) - np.fromiter(
+                map(node.round_starts.__getitem__, timed), float, len(timed)
+            )
             result.round_durations.append(
-                float(np.mean(durations)) if durations else 0.0
+                float(np.mean(durations)) if timed else 0.0
             )
             result.jumps.append(node.jumps)
             result.late_messages.append(node.late_messages)

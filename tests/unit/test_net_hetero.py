@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.net import base
 from repro.net.hetero import HeterogeneousNetwork, SlowWindows
 
 
@@ -94,3 +95,30 @@ class TestHeterogeneousNetwork:
         net.reseed(2)
         second = net.sample_round_latencies(0.0)
         assert not np.allclose(first, second)
+
+
+class TestLinkStateCache:
+    """The process-wide cache of link substream states stays bounded:
+    a sweep derives a fresh seed for every run and never hits it, so an
+    unbounded cache grows by n * (n - 1) states per run for the life of
+    the process."""
+
+    def test_distinct_seeds_cannot_grow_it_past_its_bound(self):
+        base._link_state.cache_clear()
+        links = 4 * 3
+        for seed in range(base.LINK_STATE_CACHE_SIZE // links + 2):
+            net = tiny_network(seed=seed)
+            for src in range(4):
+                for dst in range(4):
+                    if src != dst:
+                        net.link_stream(src, dst)
+        info = base._link_state.cache_info()
+        assert info.misses > base.LINK_STATE_CACHE_SIZE
+        assert info.currsize <= base.LINK_STATE_CACHE_SIZE
+
+    def test_repeated_models_of_one_seed_reuse_it(self):
+        base._link_state.cache_clear()
+        first = tiny_network(seed=11).link_stream(0, 1).random(4)
+        second = tiny_network(seed=11).link_stream(0, 1).random(4)
+        assert np.array_equal(first, second)
+        assert base._link_state.cache_info().hits == 1
